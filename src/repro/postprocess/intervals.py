@@ -37,6 +37,36 @@ class IntervalEstimate:
     confidence: float
 
 
+def variance_factors(
+    workload: Workload, strategy: StrategyMatrix, operator: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The data-independent factors ``(V∘V, (V Q)∘(V Q))`` with ``V = W B``.
+
+    The variance depends on the data only through ``x``, so a
+    deployment that answers many queries against one strategy builds these
+    ``p x m`` and ``p x n`` arrays once.  Both are squared in place, so
+    ``V`` and ``V Q`` are never held beside them, and returned read-only.
+    """
+    squared = workload.matrix @ operator
+    expectation_sq = squared @ strategy.probabilities
+    np.square(squared, out=squared)
+    np.square(expectation_sq, out=expectation_sq)
+    squared.setflags(write=False)
+    expectation_sq.setflags(write=False)
+    return squared, expectation_sq
+
+
+def _variances(
+    factors: tuple[np.ndarray, np.ndarray],
+    strategy: StrategyMatrix,
+    data_vector: np.ndarray,
+) -> np.ndarray:
+    # Per query i: sum_u x_u [ sum_o V_io^2 q_ou - ((V Q)_iu)^2 ].
+    squared, expectation_sq = factors
+    second_moment = squared @ (strategy.probabilities @ data_vector)
+    return second_moment - expectation_sq @ data_vector
+
+
 def per_query_variances(
     workload: Workload,
     strategy: StrategyMatrix,
@@ -46,8 +76,8 @@ def per_query_variances(
     """Exact per-query variances of ``V y`` at a given data vector.
 
     Per query ``i``: ``sum_u x_u [ (V^2) q_u - (V q_u)^2 ]_i`` with
-    ``V = W B`` evaluated through the workload's matvec so implicit
-    workloads are supported.
+    ``V = W B``.  Materializes ``workload.matrix`` and builds
+    :func:`variance_factors` for this one call.
     """
     data_vector = np.asarray(data_vector, dtype=float)
     if data_vector.shape != (workload.domain_size,):
@@ -56,12 +86,9 @@ def per_query_variances(
         )
     if data_vector.min() < 0:
         raise WorkloadError("variance weights must be non-negative")
-    reconstruction = workload.matrix @ operator
-    # Per query i: sum_u x_u [ sum_o V_io^2 q_ou - ((V Q)_iu)^2 ].
-    second_moment = reconstruction**2 @ (strategy.probabilities @ data_vector)
-    expectation = reconstruction @ strategy.probabilities
-    first_moment_sq = expectation**2 @ data_vector
-    return second_moment - first_moment_sq
+    return _variances(
+        variance_factors(workload, strategy, operator), strategy, data_vector
+    )
 
 
 def workload_confidence_intervals(
@@ -82,6 +109,26 @@ def workload_confidence_intervals(
     confidence:
         Two-sided confidence level in (0, 1).
     """
+    return confidence_intervals_from_factors(
+        workload,
+        strategy,
+        operator,
+        variance_factors(workload, strategy, operator),
+        response_histogram,
+        confidence,
+    )
+
+
+def confidence_intervals_from_factors(
+    workload: Workload,
+    strategy: StrategyMatrix,
+    operator: np.ndarray,
+    factors: tuple[np.ndarray, np.ndarray],
+    response_histogram: np.ndarray,
+    confidence: float = 0.95,
+) -> IntervalEstimate:
+    """:func:`workload_confidence_intervals` on prebuilt
+    :func:`variance_factors`: matrix-vector products only."""
     if not 0.0 < confidence < 1.0:
         raise WorkloadError(f"confidence must be in (0, 1), got {confidence}")
     response_histogram = np.asarray(response_histogram, dtype=float)
@@ -91,7 +138,7 @@ def workload_confidence_intervals(
     total = response_histogram.sum()
     if plug_in.sum() > 0 and total > 0:
         plug_in = plug_in * (total / plug_in.sum())
-    variances = per_query_variances(workload, strategy, operator, plug_in)
+    variances = _variances(factors, strategy, plug_in)
     standard_errors = np.sqrt(np.clip(variances, 0.0, None))
     # Queries the mechanism answers exactly (e.g. the total count under a
     # doubly stochastic strategy) have zero variance; a floating-point floor

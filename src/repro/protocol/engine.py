@@ -9,7 +9,8 @@ seam that exploits that structure:
 
 * :class:`ProtocolSession` — the immutable public configuration of one
   collection campaign: strategy, workload, and the reconstruction operator,
-  computed once and shared by every shard.
+  computed once and shared by every shard (plus the variance factors,
+  built on the first confidence-interval query and reused after it).
 * :class:`ShardAccumulator` — the mergeable per-shard state (response
   histogram + report count) with ``merge()``, ``snapshot()`` and byte-level
   serialization, so partial aggregates can cross process or machine
@@ -36,6 +37,7 @@ import numpy as np
 from repro.analysis.reconstruction import reconstruction_operator
 from repro.exceptions import ProtocolError
 from repro.mechanisms.base import DEFAULT_SAMPLE_CHUNK, StrategyMatrix
+from repro.postprocess.intervals import variance_factors
 from repro.workloads.base import Workload
 
 #: Execution backends accepted by :meth:`ProtocolSession.run`.
@@ -487,6 +489,26 @@ class ProtocolSession:
             )
         result = store.load(record.entry_id)
         return cls(result.strategy, workload)
+
+    def __getstate__(self) -> dict:
+        # The variance factors are a cache, rebuilt on demand after a copy.
+        state = dict(self.__dict__)
+        state.pop("_variance_factors", None)
+        return state
+
+    def variance_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The session's read-only Theorem 3.4 variance factors.
+
+        See :func:`repro.postprocess.intervals.variance_factors`.  Built on
+        the first call, not at construction (``p * (m + n)`` float64 a
+        session that is never queried should not pay for), then reused, so
+        each later confidence interval costs matrix-vector products only.
+        """
+        factors = self.__dict__.get("_variance_factors")
+        if factors is None:
+            factors = variance_factors(self.workload, self.strategy, self.operator)
+            object.__setattr__(self, "_variance_factors", factors)
+        return factors
 
     @property
     def epsilon(self) -> float:

@@ -34,7 +34,10 @@ import numpy as np
 import scipy.stats
 
 from repro.exceptions import ServiceError
-from repro.postprocess.intervals import IntervalEstimate, workload_confidence_intervals
+from repro.postprocess.intervals import (
+    IntervalEstimate,
+    confidence_intervals_from_factors,
+)
 from repro.protocol.accounting import BudgetLedger, RoundBudget, split_budget
 from repro.protocol.adaptive import (
     boosted_workload,
@@ -887,37 +890,36 @@ class CampaignManager:
     def _combined_intervals(
         campaign: Campaign, merged: ShardAccumulator, confidence: float
     ) -> IntervalEstimate:
-        """Fold every round's estimate into one interval set."""
+        """Fold every round's estimate into one interval set.
+
+        Each round is answered on its own session's cached variance
+        factors, so a query costs matrix-vector products per round.
+        """
         live = [
             (record.session, record.accumulator) for record in campaign.rounds
         ]
         live.append((campaign.session, merged))
         live = [(s, a) for s, a in live if a.num_reports]
-        if len(live) <= 1:
-            session, accumulator = live[0] if live else (campaign.session, merged)
-            return workload_confidence_intervals(
+        if not live:
+            live = [(campaign.session, merged)]
+        parts = [
+            confidence_intervals_from_factors(
                 session.workload,
                 session.strategy,
                 session.operator,
+                session.variance_factors(),
                 accumulator.histogram,
                 confidence=confidence,
             )
-        estimates = None
-        variances = None
-        for session, accumulator in live:
-            part = workload_confidence_intervals(
-                session.workload,
-                session.strategy,
-                session.operator,
-                accumulator.histogram,
-                confidence=confidence,
-            )
-            if estimates is None:
-                estimates = np.array(part.estimates, dtype=float)
-                variances = np.array(part.standard_errors, dtype=float) ** 2
-            else:
-                estimates += part.estimates
-                variances += np.asarray(part.standard_errors, dtype=float) ** 2
+            for session, accumulator in live
+        ]
+        if len(parts) == 1:
+            return parts[0]
+        estimates = np.array(parts[0].estimates, dtype=float)
+        variances = np.array(parts[0].standard_errors, dtype=float) ** 2
+        for part in parts[1:]:
+            estimates += part.estimates
+            variances += np.asarray(part.standard_errors, dtype=float) ** 2
         standard_errors = np.sqrt(variances)
         z = float(scipy.stats.norm.ppf(0.5 + confidence / 2))
         return IntervalEstimate(

@@ -165,7 +165,9 @@ class _PendingForward:
     payload: bytes
     num_reports: int
     round_id: int
-    attempts: int = 0
+    #: Set before a send starts: a send whose awaiting task is cancelled
+    #: (a stop during an in-flight forward) may still land at the root.
+    sent: bool = False
     enqueued_at: float = field(default_factory=time.monotonic)
 
 
@@ -534,6 +536,8 @@ class EdgeAggregator(HttpTier):
         lost while the root is unreachable).
         """
         started = time.perf_counter()
+        first_send = not item.sent
+        item.sent = True
         try:
             receipt = await asyncio.to_thread(self._send_partial_sync, item)
         except ServiceHTTPError as error:
@@ -560,8 +564,8 @@ class EdgeAggregator(HttpTier):
         self._m_forward_seconds.observe(time.perf_counter() - started)
         if receipt.get("duplicate"):
             last = int(receipt.get("last_sequence", item.sequence))
-            if item.attempts == 0:
-                # First attempt, yet the root has seen this sequence: a
+            if first_send:
+                # Never sent before, yet the root has seen this sequence: a
                 # restarted edge reusing its id.  The payload holds *new*
                 # reports, so resynchronize past the root's ledger and
                 # re-cut the same payload under a fresh sequence.
@@ -569,9 +573,11 @@ class EdgeAggregator(HttpTier):
                 if mirror is not None:
                     mirror.sequence = max(mirror.sequence, last) + 1
                     item.sequence = mirror.sequence
+                    item.sent = False
                     return False
-            # A retry whose first attempt landed — the normal idempotency
-            # save.  Resolved without double-counting.
+            # A resend whose earlier send landed (a lost reply, or a send
+            # still in flight when a stop cancelled the pump) — the normal
+            # idempotency save.  Resolved without double-counting.
             outcome = self._m_forwards.labels("duplicate")
             outcome.inc()  # type: ignore[union-attr]
             self.forwards_duplicate += 1
@@ -597,7 +603,6 @@ class EdgeAggregator(HttpTier):
                 self._outbox.popleft()
                 backoff = self.retry_base
                 continue
-            item.attempts += 1
             self._m_forward_retries.inc()
             await asyncio.sleep(backoff)
             backoff = min(backoff * 2, self.retry_cap)
@@ -611,7 +616,6 @@ class EdgeAggregator(HttpTier):
                 self._outbox.popleft()
                 backoff = self.retry_base
                 continue
-            item.attempts += 1
             self._m_forward_retries.inc()
             if time.monotonic() + backoff > deadline:
                 lost = sum(entry.num_reports for entry in self._outbox)

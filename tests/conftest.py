@@ -38,3 +38,19 @@ def feasible_strategy() -> np.ndarray:
     raw = generator.random((20, 5))
     bounds = initial_bounds(20, 1.0)
     return project_columns(raw, bounds, 1.0).matrix
+
+
+@pytest.fixture
+def factor_builds(monkeypatch) -> list:
+    """Records the strategy of every variance-factor build a session makes."""
+    import repro.protocol.engine as engine
+
+    builds = []
+    real = engine.variance_factors
+
+    def counting(workload, strategy, operator):
+        builds.append(strategy)
+        return real(workload, strategy, operator)
+
+    monkeypatch.setattr(engine, "variance_factors", counting)
+    return builds

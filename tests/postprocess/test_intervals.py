@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from repro.analysis import per_user_variances, reconstruction_operator
 from repro.exceptions import WorkloadError
-from repro.mechanisms import randomized_response
+from repro.mechanisms import hadamard_response, randomized_response
+from repro.optimization import OptimizerConfig, optimize_strategy
 from repro.postprocess import per_query_variances, workload_confidence_intervals
+from repro.postprocess.intervals import (
+    confidence_intervals_from_factors,
+    variance_factors,
+)
 from repro.workloads import histogram, prefix
 
 
@@ -106,3 +112,79 @@ class TestConfidenceIntervals:
             covered.append((result.lower <= truth) & (truth <= result.upper))
         coverage = np.mean(covered)
         assert 0.85 <= coverage <= 0.95
+
+
+def _optimized(workload, epsilon):
+    config = OptimizerConfig(num_iterations=30, seed=0)
+    return optimize_strategy(workload, epsilon, config).strategy
+
+
+STRATEGIES = {
+    "rr": lambda workload: randomized_response(workload.domain_size, 1.0),
+    "hadamard": lambda workload: hadamard_response(workload.domain_size, 1.0),
+    "optimized": lambda workload: _optimized(workload, 1.0),
+}
+
+
+def oracle_variances(workload, strategy, operator, x):
+    """Theorem 3.4 written out inline, operation for operation."""
+    reconstruction = workload.matrix @ operator
+    q = strategy.probabilities
+    return reconstruction**2 @ (q @ x) - (reconstruction @ q) ** 2 @ x
+
+
+@pytest.mark.parametrize("make_workload", [histogram, prefix])
+@pytest.mark.parametrize("strategy_name", sorted(STRATEGIES))
+class TestVarianceFactorsMatchTheOracle:
+    """Prebuilt factors give bit-for-bit the inline formula's answers."""
+
+    @pytest.fixture
+    def mechanism(self, make_workload, strategy_name):
+        workload = make_workload(8)
+        strategy = STRATEGIES[strategy_name](workload)
+        return workload, strategy, reconstruction_operator(strategy.probabilities)
+
+    def test_variances(self, mechanism, rng):
+        workload, strategy, operator = mechanism
+        x = rng.integers(0, 50, size=8).astype(float)
+        assert np.array_equal(
+            per_query_variances(workload, strategy, operator, x),
+            oracle_variances(workload, strategy, operator, x),
+        )
+
+    def test_intervals(self, mechanism, rng):
+        workload, strategy, operator = mechanism
+        y = strategy.sample_histogram(rng.integers(0, 50, size=8), rng)
+        data_estimate = operator @ y
+        estimates = workload.matvec(data_estimate)
+        plug_in = np.clip(data_estimate, 0.0, None)
+        plug_in = plug_in * (y.sum() / plug_in.sum())
+        variances = oracle_variances(workload, strategy, operator, plug_in)
+        standard_errors = np.maximum(
+            np.sqrt(np.clip(variances, 0.0, None)), 1e-9 * (1.0 + np.abs(estimates))
+        )
+        factors = variance_factors(workload, strategy, operator)
+        for result in (
+            workload_confidence_intervals(workload, strategy, operator, y, 0.9),
+            confidence_intervals_from_factors(
+                workload, strategy, operator, factors, y, 0.9
+            ),
+        ):
+            assert np.array_equal(result.estimates, estimates)
+            assert np.array_equal(result.standard_errors, standard_errors)
+            z = scipy.stats.norm.ppf(0.95)
+            assert np.array_equal(result.lower, estimates - z * standard_errors)
+            assert np.array_equal(result.upper, estimates + z * standard_errors)
+
+    def test_factors_are_read_only_squares(self, mechanism):
+        workload, strategy, operator = mechanism
+        squared, expectation_sq = variance_factors(workload, strategy, operator)
+        reconstruction = workload.matrix @ operator
+        assert np.array_equal(squared, reconstruction**2)
+        assert np.array_equal(
+            expectation_sq, (reconstruction @ strategy.probabilities) ** 2
+        )
+        for factor in (squared, expectation_sq):
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError):
+                factor[0, 0] = 0.0

@@ -202,6 +202,28 @@ class TestAdaptiveLifecycle:
             ),
         )
 
+    def test_round_advance_gets_fresh_variance_factors(self, factor_builds):
+        manager = make_adaptive_manager()
+        campaign = manager.get("demo")
+        round1 = campaign.session
+        campaign.accumulator.add_reports(skewed_reports(round1, seed=1))
+        manager.query("demo")
+        round1_factors = round1.variance_factors()
+        assert factor_builds == [round1.strategy]
+        # plan_advance queries the live round again: still no rebuild.
+        manager.advance_round("demo")
+        round2 = campaign.session
+        assert round2 is not round1
+        assert factor_builds == [round1.strategy]
+        campaign.accumulator.add_reports(skewed_reports(round2, seed=2))
+        for _ in range(3):
+            manager.query("demo")
+        assert factor_builds == [round1.strategy, round2.strategy]
+        # The completed round answers on the factors it built while live.
+        assert campaign.rounds[0].session is round1
+        assert round1.variance_factors() is round1_factors
+        assert round2.variance_factors() is not round1_factors
+
     def test_describe_exposes_round_state(self):
         manager = make_adaptive_manager()
         campaign = manager.get("demo")

@@ -1,5 +1,7 @@
 """Tests for the campaign registry."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,58 @@ class TestQuery:
         assert json.loads(json.dumps(payload)) == payload
         assert payload["num_reports"] == 3
         assert len(payload["estimates"]) == 8
+
+
+class TestVarianceFactorCache:
+    """A session builds its variance factors on the first query only."""
+
+    def test_not_built_by_create_or_build(self, factor_builds):
+        manager = CampaignManager()
+        options = dict(
+            workload="Prefix",
+            domain_size=16,
+            epsilon=1.0,
+            mechanism="Hadamard",
+        )
+        built = manager.build("built", **options)
+        created = manager.create("created", **options)
+        assert factor_builds == []
+        for campaign in (built, created):
+            assert "_variance_factors" not in campaign.session.__dict__
+
+    def test_built_once_over_repeated_queries(self, manager, factor_builds):
+        campaign = manager.get("demo")
+        campaign.accumulator.add_reports([0, 1, 1, 5])
+        first = manager.query("demo")
+        for _ in range(3):
+            pending = campaign.session.new_accumulator().add_reports([2, 3])
+            manager.query("demo", pending=[pending])
+            again = manager.query("demo")
+        assert len(factor_builds) == 1
+        assert factor_builds[0] is campaign.session.strategy
+        assert np.array_equal(again.intervals.estimates, first.intervals.estimates)
+        assert np.array_equal(
+            again.intervals.standard_errors, first.intervals.standard_errors
+        )
+
+    def test_cached_arrays_are_not_writeable(self, manager):
+        session = manager.get("demo").session
+        manager.query("demo")
+        factors = session.variance_factors()
+        assert factors is session.variance_factors()
+        for factor in factors:
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError):
+                factor[0, 0] = 1.0
+
+    def test_cache_stays_out_of_equality_repr_and_pickle(self, manager):
+        session = manager.get("demo").session
+        before = repr(session)
+        fresh = ProtocolSession(session.strategy, session.workload)
+        session.variance_factors()
+        assert session == fresh
+        assert repr(session) == before
+        copy = pickle.loads(pickle.dumps(session))
+        assert "_variance_factors" not in copy.__dict__
+        for built, rebuilt in zip(session.variance_factors(), copy.variance_factors()):
+            assert np.array_equal(built, rebuilt)

@@ -13,6 +13,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -367,6 +368,59 @@ class TestEdgeAggregator:
             edge_thread.stop()
         # Not double-counted by the drain either.
         assert client.query("demo", sync=True)["num_reports"] == 3
+
+    def test_stop_during_in_flight_forward_is_not_double_counted(self, root):
+        """A stop cancels the pump while its forward is still in flight; the
+        send lands anyway, and the drain's resend of the same item must be
+        taken as that send's duplicate, not as a restarted edge."""
+        _, root_thread, client = root
+        make_campaign(client)
+        real_host, real_port = root_thread.host, root_thread.port
+        entered = threading.Event()
+        release = threading.Event()
+        first_landed = threading.Event()
+
+        class HeldFirstSendClient(ServiceClient):
+            def send_partial(self, campaign, **kwargs):
+                if not entered.is_set():
+                    entered.set()
+                    assert release.wait(30)
+                    try:
+                        return super().send_partial(campaign, **kwargs)
+                    finally:
+                        first_landed.set()
+                # Later sends reach the root only after the held one, the
+                # order in which a stop meets a slow in-flight forward.
+                assert first_landed.wait(30)
+                return super().send_partial(campaign, **kwargs)
+
+        edge, edge_thread, host, port = start_edge(
+            root_thread,
+            flush_interval=0.02,
+            forward_interval=0.05,
+            retry_base=0.02,
+            upstream_factory=lambda: HeldFirstSendClient(real_host, real_port),
+        )
+        edge_client = ServiceClient(host, port)
+        acked = 0
+        try:
+            acked += edge_client.send_reports("demo", [4, 4, 4, 4])["accepted"]
+            assert entered.wait(10)
+        finally:
+            edge_client.close()
+        stopper = threading.Thread(target=edge_thread.stop)
+        stopper.start()
+        try:
+            # stop() clears its task list once the pump is cancelled.
+            assert wait_until(lambda: not edge._tasks)
+        finally:
+            release.set()
+            stopper.join(timeout=60)
+        assert not stopper.is_alive()
+        assert acked == 4
+        assert client.query("demo", sync=True)["num_reports"] == acked
+        assert edge.reports_lost == 0
+        assert edge.forwards_duplicate == 1
 
     def test_graceful_stop_forwards_the_final_partial(self, root):
         """Satellite: the drain path behind SIGTERM — reports buffered at
