@@ -10,9 +10,13 @@ corridor sweep, and projections — on both evaluation engines:
   eigenvalue pseudo-inverse, dense residual-map feasibility check,
   sort-based projection), kept verbatim for exactly this comparison.
 
-Both engines walk the same iterates, so iterations/sec is an
-apples-to-apples rate and the final objectives must agree — the script
-exits 1 if they drift beyond ``--objective-rtol``.  ``time to tolerance``
+Both engines run the same Algorithm 2 loop and agree on value, gradient
+and projection of the same input to rtol 1e-9, but round-off steers their
+iterates apart over a long run (Prefix(128) at 120 iterations ends about
+1e-3 apart), so iterations/sec compares like with like only where both
+runs converge.  On the histogram sweep measured here they do, and the final
+objectives must agree — the script exits 1 if they drift beyond
+``--objective-rtol``.  ``time to tolerance``
 is the wall-clock until the best-so-far objective first comes within 0.1%
 of the run's final best (computed from the tracked history at the measured
 per-iteration rate).

@@ -128,12 +128,14 @@ class ObjectiveWorkspace:
 
         n, m = self.domain_size, self.num_outputs
         # Scratch reused by every evaluation: the scaled strategy D^-1/2 Q
-        # (Fortran order so BLAS syrk consumes it without a copy), the
-        # symmetric core, and the D^-1 Q buffer the gradient tail needs.
-        self._scaled = np.empty((m, n), order="F")
+        # (C order, so scaling the strategy is a contiguous write; BLAS syrk
+        # reads its transpose view, which is Fortran-ordered, without a
+        # copy), the symmetric core, and the D^-1 Q buffer the gradient tail
+        # needs.
+        self._scaled = np.empty((m, n))
         self._core = np.empty((n, n), order="F")
         self._weighted = np.empty((m, n))
-        self._tril = np.tril_indices(n, k=-1)
+        self._strict_lower = np.tril(np.ones((n, n), dtype=bool), k=-1)
 
         self._gram_factor_t: np.ndarray | None = None
         if factor_gram:
@@ -181,11 +183,13 @@ class ObjectiveWorkspace:
         live = row_sums > _ROW_SUM_FLOOR
         inv_sqrt = np.where(live, 1.0 / np.sqrt(safe), 0.0)
         np.multiply(strategy, inv_sqrt[:, None], out=self._scaled)
-        core = dsyrk(1.0, self._scaled, trans=1, lower=0, c=self._core, overwrite_c=1)
+        # A = S^T S for S = D^-1/2 Q, as syrk's A A^T on the (n, m) view S^T.
+        core = dsyrk(
+            1.0, self._scaled.T, trans=0, lower=0, c=self._core, overwrite_c=1
+        )
         # syrk writes one triangle; mirror it so the eigh fallback and the
         # condition estimate see the full (exactly symmetric) matrix.
-        rows, cols = self._tril
-        core[rows, cols] = core[cols, rows]
+        np.copyto(core, core.T, where=self._strict_lower)
 
         try:
             factor, rcond = spd_factor(core)
@@ -277,8 +281,7 @@ class ObjectiveWorkspace:
                 )
                 value = float(np.sum(solved * self._gram_factor_t))
                 sensitivity = dsyrk(-1.0, np.asfortranarray(solved))
-                rows, cols = self._tril
-                sensitivity[rows, cols] = sensitivity[cols, rows]
+                np.copyto(sensitivity, sensitivity.T, where=self._strict_lower)
             else:
                 solved = scipy.linalg.cho_solve(data, self.gram, check_finite=False)
                 value = float(np.trace(solved))
@@ -303,18 +306,24 @@ class ObjectiveWorkspace:
         live = row_sums > _ROW_SUM_FLOOR
         inv_rows = np.where(live, 1.0 / safe, 0.0)
         np.multiply(strategy, inv_rows[:, None], out=self._weighted)
-        weighted_sensitivity = self._weighted @ sensitivity
-        diagonal = np.einsum("ou,ou->o", weighted_sensitivity, self._weighted)
+        gradient = self._weighted @ sensitivity
+        diagonal = np.einsum("ou,ou->o", gradient, self._weighted)
+        # 2 (D^-1 Q) S - diag 1^T (diag w^T under a prior), formed in place:
+        # the out-of-place expression costs two more m x n temporaries.
+        gradient *= 2.0
         if self.weights is None:
-            return 2.0 * weighted_sensitivity - diagonal[:, None]
-        return 2.0 * weighted_sensitivity - np.outer(diagonal, self.weights)
+            gradient -= diagonal[:, None]
+        else:
+            gradient -= np.outer(diagonal, self.weights)
+        return gradient
 
     def value_batch(self, strategies) -> np.ndarray:
         """Evaluate ``L`` for several candidates through the shared buffers.
 
         One entry per candidate, ``inf`` where the candidate is infeasible
-        — exactly :meth:`value` mapped over the batch, without the
-        per-candidate allocation churn of independent full passes.
+        — exactly :meth:`value` mapped over the batch.  Each candidate is a
+        full evaluation; what the candidates share is the workspace's
+        scratch buffers and Gram factor.
 
         Examples
         --------

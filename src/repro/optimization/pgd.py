@@ -75,8 +75,9 @@ class OptimizerConfig:
         Objective evaluation engine: ``"fast"`` (the factorization-cached
         workspace of :mod:`repro.optimization.kernels`, the default) or
         ``"reference"`` (the original straight-line path, kept for pinning
-        and benchmarking).  Both produce the same optimization up to
-        floating-point round-off.
+        and benchmarking).  On the same input both evaluate the objective,
+        gradient and projection to rtol 1e-9; over a long run their
+        round-off differences can steer them to slightly different iterates.
 
     Examples
     --------
@@ -262,10 +263,14 @@ def _descend(
     All objective evaluations and projections go through ``evaluator`` (a
     :class:`~repro.optimization.kernels.FastEngine` or
     :class:`~repro.optimization.kernels.ReferenceEngine`); backtracking
-    candidates and the corridor sweep are evaluated in batches through the
-    engine's shared buffers.  The candidate sequence and acceptance rule
-    are identical to the original sequential loop, so both engines walk the
-    same iterates up to floating-point round-off.
+    candidates are projected and valued in batches, and the two corridor
+    proposals' values in one batch.  The candidate sequence and acceptance
+    rule are those of the original sequential loop.  The engines do not
+    walk the same iterates: round-off differences grow over a long run
+    (Prefix(128) at 120 iterations ends about 1e-3 apart in relative
+    objective).  What is pinned between them is same-input agreement of
+    value, gradient and projection at rtol 1e-9, and final-objective
+    agreement on the gated histogram sweep.
     """
     if evaluator is None:
         raise OptimizationError("_descend requires an evaluation engine")
@@ -324,16 +329,21 @@ def _descend(
         attempt = 0
         for batch_size in _LINE_SEARCH_BATCHES:
             steps = [step_size * 0.5**probe for probe in range(batch_size)]
-            raws = [state.matrix - step * gradient for step in steps]
+            raws = []
+            for step in steps:
+                # Q - step * G with one m x n allocation per candidate.
+                shifted = np.multiply(gradient, -step)
+                shifted += state.matrix
+                raws.append(shifted)
             stats["line_search_attempts"] += batch_size
             stats["projection_passes"] += batch_size
             candidates = evaluator.project_batch(
                 raws, bounds, epsilon, initial_multipliers=state.multipliers
             )
-            movements = [
-                float(np.sum((candidate.matrix - state.matrix) ** 2))
-                for candidate in candidates
-            ]
+            movements = []
+            for candidate in candidates:
+                moved = np.subtract(candidate.matrix, state.matrix)
+                movements.append(float(np.square(moved, out=moved).sum()))
             # A vanishing projected movement means Q is stationary at that
             # step size; candidates beyond it are never evaluated (the
             # sequential loop stopped there too).
@@ -376,14 +386,17 @@ def _descend(
 
         # --- z step, re-projecting the same pre-projection point so the
         # backprop linearization is valid (strict clip margins there).
-        # Both corridor proposals are evaluated as one batch. ---
+        # Each proposal has its own corridor, so each is projected on its
+        # own, warm-started from the accepted candidate's multipliers (the
+        # same raw point, so the closest start); their values are batched.
+        # ---
         proposals = _bound_proposals(
             candidate, bounds, gradient, accepted_step / z_scale, epsilon
         )
         stats["projection_passes"] += len(proposals)
         reprojected = [
             evaluator.project(
-                raw, proposal, epsilon, initial_multipliers=state.multipliers
+                raw, proposal, epsilon, initial_multipliers=candidate.multipliers
             )
             for proposal in proposals
         ]

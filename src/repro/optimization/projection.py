@@ -177,38 +177,106 @@ def project_columns(
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise OptimizationError(f"expected a 2-D matrix, got {matrix.ndim}-D")
+    return _project([matrix], z, epsilon, method, initial_multipliers)[0]
+
+
+def project_columns_batch(
+    matrices: list[np.ndarray],
+    z: np.ndarray,
+    epsilon: float,
+    method: str = "newton",
+    initial_multipliers: np.ndarray | None = None,
+) -> list[ProjectionState]:
+    """Project several same-shape matrices against one bound vector at once.
+
+    The candidates of one line-search round all share ``z``, so their
+    columns concatenate into a single wide projection — one solver pass over
+    ``(m, K n)`` instead of ``K`` independent passes.  The result is one
+    :class:`ProjectionState` per input, matching a standalone projection of
+    that input to the ulp (the multiplier solve is per-column exact either
+    way; only the summation order can differ with the array width).
+
+    Examples
+    --------
+    >>> import numpy as np
+    >>> rng = np.random.default_rng(0)
+    >>> z = np.full(8, 0.1)
+    >>> raws = [rng.random((8, 3)) for _ in range(2)]
+    >>> batch = project_columns_batch(raws, z, 1.0)
+    >>> single = [project_columns(raw, z, 1.0) for raw in raws]
+    >>> all(
+    ...     np.allclose(b.matrix, s.matrix, atol=1e-12)
+    ...     for b, s in zip(batch, single)
+    ... )
+    True
+    """
+    matrices = [np.asarray(matrix, dtype=float) for matrix in matrices]
+    if not matrices:
+        return []
+    shape = matrices[0].shape
+    for matrix in matrices[1:]:
+        if matrix.shape != shape:
+            raise OptimizationError(
+                f"batch shapes differ: {matrix.shape} != {shape}"
+            )
+    return _project(matrices, z, epsilon, method, initial_multipliers)
+
+
+def _project(
+    matrices: list[np.ndarray],
+    z: np.ndarray,
+    epsilon: float,
+    method: str,
+    initial_multipliers: np.ndarray | None,
+) -> list[ProjectionState]:
+    """Shared body of :func:`project_columns` and :func:`project_columns_batch`."""
     if method not in PROJECTION_METHODS:
         raise OptimizationError(
             f"unknown projection method {method!r}; expected one of "
             f"{PROJECTION_METHODS}"
         )
+    if matrices[0].ndim != 2:
+        raise OptimizationError(
+            f"expected a 2-D matrix, got {matrices[0].ndim}-D"
+        )
     lo, hi = feasible_bounds(z, epsilon)
-    num_rows = matrix.shape[0]
+    num_rows, num_cols = matrices[0].shape
     if lo.shape != (num_rows,):
         raise OptimizationError(
             f"z has length {lo.shape[0]} but the matrix has {num_rows} rows"
         )
     if initial_multipliers is not None:
         initial_multipliers = np.asarray(initial_multipliers, dtype=float)
-        if initial_multipliers.shape != (matrix.shape[1],):
+        if initial_multipliers.shape != (num_cols,):
             raise OptimizationError(
                 f"initial multipliers length {initial_multipliers.shape} != "
-                f"column count {matrix.shape[1]}"
+                f"column count {num_cols}"
             )
 
     if method == "newton":
-        multipliers = _newton_multipliers(matrix, lo, hi, initial_multipliers)
+        columns = matrices[0] if len(matrices) == 1 else np.hstack(matrices)
+        warm = None
+        if initial_multipliers is not None:
+            warm = np.tile(initial_multipliers, len(matrices))
+        multipliers = _newton_multipliers(columns, lo, hi, warm)
     else:
-        multipliers = _crossing_multipliers(matrix, lo, hi)
-    projected = np.clip(matrix + multipliers[None, :], lo[:, None], hi[:, None])
+        multipliers = _crossing_multipliers(np.hstack(matrices), lo, hi)
 
-    gap = np.maximum(hi - lo, 0.0)[:, None]
-    tol = _CLIP_TOL + _CLIP_TOL * gap
-    lower = projected <= lo[:, None] + tol
-    upper = projected >= hi[:, None] - tol
-    # Degenerate rows (lo == hi) count as lower-clipped only.
-    upper &= ~lower
-    return ProjectionState(projected, multipliers, lower, upper)
+    lo_col, hi_col = lo[:, None], hi[:, None]
+    tol = _CLIP_TOL + _CLIP_TOL * np.maximum(hi - lo, 0.0)
+    lower_edge, upper_edge = (lo + tol)[:, None], (hi - tol)[:, None]
+    states = []
+    for index, matrix in enumerate(matrices):
+        shift = multipliers[index * num_cols : (index + 1) * num_cols]
+        projected = np.add(matrix, shift, out=np.empty((num_rows, num_cols)))
+        np.minimum(projected, hi_col, out=projected)
+        np.maximum(projected, lo_col, out=projected)
+        lower = projected <= lower_edge
+        upper = projected >= upper_edge
+        # Degenerate rows (lo == hi) count as lower-clipped only.
+        upper &= ~lower
+        states.append(ProjectionState(projected, shift, lower, upper))
+    return states
 
 
 def _crossing_multipliers(
@@ -293,6 +361,17 @@ def _newton_multipliers(
     sweep's ``O(m log m)`` with a far heavier constant; solved columns are
     compacted away each pass, so stragglers iterate on narrow slices.
 
+    Memory layout: until the first column settles, the passes run on the
+    ``(m, k)`` matrix as given, where each column sum accumulates row by
+    row.  The first compaction gathers the unsolved columns once into a
+    contiguous columns-as-rows ``(k', m)`` copy; from then on each sum is a
+    pairwise reduction along its row and every further compaction is a
+    contiguous row gather.  These are the summation orders of the earlier
+    formulation of this solver, whose column gather ``matrix[:, active]``
+    produced a column-major copy, so for C-ordered input (what the
+    optimizer passes) its multipliers are reproduced bit for bit.  All
+    passes write into scratch allocated once per call.
+
     ``initial`` warm-starts the iteration (clipped into the bracket): the
     optimizer's line-search candidates are small perturbations of an
     already-projected iterate, so its multipliers start Newton one or two
@@ -302,11 +381,19 @@ def _newton_multipliers(
     multipliers = np.empty(num_cols)
     if num_cols == 0:
         return multipliers
+    scratch = np.empty(matrix.size)
+    free_scratch = np.empty(matrix.size, dtype=bool)
+    inner_scratch = np.empty(matrix.size, dtype=bool)
+
+    def window(buffer: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+        return buffer[: shape[0] * shape[1]].reshape(shape)
+
     lo_col, hi_col = lo[:, None], hi[:, None]
     # Initial bracket: below every breakpoint the sum is sum(lo) <= 1, above
     # every breakpoint it is sum(hi) >= 1 (both by bound feasibility).
-    low = (lo_col - matrix).min(axis=0)
-    high = (hi_col - matrix).max(axis=0)
+    bracket = window(scratch, matrix.shape)
+    low = np.subtract(lo_col, matrix, out=bracket).min(axis=0)
+    high = np.subtract(hi_col, matrix, out=bracket).max(axis=0)
     if initial is None:
         # Newton init from the unclipped solve (exact when nothing clips).
         lam = (1.0 - matrix.sum(axis=0)) / num_rows
@@ -314,28 +401,36 @@ def _newton_multipliers(
         lam = np.array(initial, dtype=float)
     np.clip(lam, low, high, out=lam)
 
+    # ``axis`` is the reduction axis of ``columns``: 0 while it is the
+    # matrix itself, 1 once it holds the unsolved columns as rows.
     active = np.arange(num_cols)
-    columns = matrix
+    columns, axis, lo_b, hi_b = matrix, 0, lo_col, hi_col
     for _ in range(_NEWTON_MAX_ITERATIONS):
-        shifted = columns + lam[None, :]
-        clipped = np.minimum(shifted, hi_col)
-        np.maximum(clipped, lo_col, out=clipped)
-        residual = clipped.sum(axis=0)
+        clipped = window(scratch, columns.shape)
+        np.add(columns, lam[None, :] if axis == 0 else lam[:, None], out=clipped)
+        np.minimum(clipped, hi_b, out=clipped)
+        np.maximum(clipped, lo_b, out=clipped)
+        residual = clipped.sum(axis=axis)
         residual -= 1.0
         done = np.abs(residual) <= _NEWTON_TOL
         if done.any():
             multipliers[active[done]] = lam[done]
-            keep = ~done
-            if not keep.any():
+            keep = np.flatnonzero(~done)
+            if keep.size == 0:
                 return multipliers
             active = active[keep]
-            columns = matrix[:, active]
-            shifted = np.ascontiguousarray(shifted[:, keep])
+            if axis == 0:
+                columns, clipped = matrix.T[keep], clipped.T[keep]
+                axis, lo_b, hi_b = 1, lo, hi
+            else:
+                columns, clipped = columns[keep], clipped[keep]
             lam, low, high = lam[keep], low[keep], high[keep]
             residual = residual[keep]
-        free = shifted > lo_col
-        free &= shifted < hi_col
-        count = free.sum(axis=0)
+        # An entry is free when it lies strictly inside its bounds (clipping
+        # leaves a value exactly on the bound it acted at).
+        free = np.greater(clipped, lo_b, out=window(free_scratch, clipped.shape))
+        free &= np.less(clipped, hi_b, out=window(inner_scratch, clipped.shape))
+        count = free.sum(axis=axis, dtype=np.int32)
         too_low = residual < 0.0
         np.copyto(low, lam, where=too_low)
         np.copyto(high, lam, where=~too_low)
@@ -345,78 +440,10 @@ def _newton_multipliers(
         lam = np.where(inside, newton, 0.5 * (low + high))
     # Pathological stragglers (e.g. bounds right at the feasibility slack):
     # re-solve them with the exact sort-based sweep.
-    multipliers[active] = _crossing_multipliers(columns, lo, hi)
-    return multipliers
-
-
-def project_columns_batch(
-    matrices: list[np.ndarray],
-    z: np.ndarray,
-    epsilon: float,
-    method: str = "newton",
-    initial_multipliers: np.ndarray | None = None,
-) -> list[ProjectionState]:
-    """Project several same-shape matrices against one bound vector at once.
-
-    The candidates of one line-search round all share ``z``, so their
-    columns concatenate into a single wide projection — one solver pass over
-    ``(m, K n)`` instead of ``K`` independent passes.  The result is one
-    :class:`ProjectionState` per input, matching a standalone projection of
-    that input to the ulp (the multiplier solve is per-column exact either
-    way; only reduction blocking differs with the array width).
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> rng = np.random.default_rng(0)
-    >>> z = np.full(8, 0.1)
-    >>> raws = [rng.random((8, 3)) for _ in range(2)]
-    >>> batch = project_columns_batch(raws, z, 1.0)
-    >>> single = [project_columns(raw, z, 1.0) for raw in raws]
-    >>> all(
-    ...     np.allclose(b.matrix, s.matrix, atol=1e-12)
-    ...     for b, s in zip(batch, single)
-    ... )
-    True
-    """
-    matrices = [np.asarray(matrix, dtype=float) for matrix in matrices]
-    if not matrices:
-        return []
-    if len(matrices) == 1:
-        return [
-            project_columns(
-                matrices[0],
-                z,
-                epsilon,
-                method=method,
-                initial_multipliers=initial_multipliers,
-            )
-        ]
-    shape = matrices[0].shape
-    for matrix in matrices[1:]:
-        if matrix.shape != shape:
-            raise OptimizationError(
-                f"batch shapes differ: {matrix.shape} != {shape}"
-            )
-    warm = None
-    if initial_multipliers is not None:
-        warm = np.tile(np.asarray(initial_multipliers, float), len(matrices))
-    stacked = project_columns(
-        np.hstack(matrices), z, epsilon, method=method, initial_multipliers=warm
+    multipliers[active] = _crossing_multipliers(
+        columns if axis == 0 else columns.T, lo, hi
     )
-    num_cols = shape[1]
-    states = []
-    for index in range(len(matrices)):
-        span = slice(index * num_cols, (index + 1) * num_cols)
-        states.append(
-            ProjectionState(
-                np.ascontiguousarray(stacked.matrix[:, span]),
-                stacked.multipliers[span].copy(),
-                np.ascontiguousarray(stacked.lower[:, span]),
-                np.ascontiguousarray(stacked.upper[:, span]),
-            )
-        )
-    return states
+    return multipliers
 
 
 def project_column_bisection(

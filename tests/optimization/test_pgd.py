@@ -16,6 +16,7 @@ from repro.optimization import (
     initialize,
     optimize_strategy,
 )
+from repro.optimization.kernels import FastEngine
 from repro.optimization.pgd import _repair_bounds, warm_start
 from repro.mechanisms import randomized_response
 from repro.workloads import histogram, parity, prefix
@@ -172,7 +173,7 @@ class TestOptimizeStrategy:
 
 
 class TestEngineEquivalence:
-    """Both engines walk the same Algorithm 2; results must coincide."""
+    """Both engines run the same Algorithm 2 loop; results must coincide."""
 
     @pytest.mark.parametrize("workload_factory", [histogram, prefix])
     def test_line_search_converges_to_same_objective(self, workload_factory):
@@ -222,4 +223,54 @@ class TestEngineEquivalence:
         shared = min(len(fast.history), len(reference.history), 5)
         assert np.allclose(
             fast.history[:shared], reference.history[:shared], rtol=1e-9
+        )
+
+
+class TestEngineCallHooks:
+    """Algorithm 2 reaches the fast engine only through its public methods.
+
+    The repository benchmark's traced ledger wraps exactly these methods
+    (``projection``, ``kernels.value_batch``, ``kernels.value_and_gradient``),
+    so a driver that bypassed them would silently zero those ledger rows.
+    """
+
+    def test_counted_calls_match_telemetry(self, monkeypatch):
+        counted = dict.fromkeys(
+            ("project", "project_batch", "value_batch", "value_and_gradient"), 0
+        )
+        sizes = {
+            "project": lambda args: 1,
+            "project_batch": lambda args: len(args[0]),
+            "value_batch": lambda args: len(args[0]),
+            "value_and_gradient": lambda args: 1,
+        }
+
+        def counting(name):
+            original = getattr(FastEngine, name)
+
+            def wrapper(self, *args, **kwargs):
+                counted[name] += sizes[name](args)
+                return original(self, *args, **kwargs)
+
+            return wrapper
+
+        for name in counted:
+            monkeypatch.setattr(FastEngine, name, counting(name))
+        result = optimize_strategy(
+            prefix(8), 1.0, OptimizerConfig(num_iterations=40, seed=0)
+        )
+        telemetry = result.telemetry
+        assert telemetry["iterations"] == result.iterations_run > 1
+        assert (
+            counted["project"] + counted["project_batch"]
+            == telemetry["projection_passes"]
+        )
+        # One evaluation per iteration, plus the step-scale probe that runs
+        # when no step size is configured.
+        assert counted["value_and_gradient"] == telemetry["iterations"] + 1
+        # Every completed iteration values at least its two corridor
+        # proposals; no more than every probe plus those proposals.
+        assert counted["value_batch"] >= 2 * (telemetry["iterations"] - 1)
+        assert counted["value_batch"] <= (
+            telemetry["line_search_attempts"] + 2 * telemetry["iterations"]
         )

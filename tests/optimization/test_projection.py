@@ -209,6 +209,110 @@ class TestNewtonVsSort:
             project_columns(raw, z, 1.0, method="bisect")
 
 
+def _clustered_columns(generator, z, epsilon, num_cols):
+    """Raw columns in the regime Algorithm 2 produces, with known answers.
+
+    Every projected column has nearly all entries on ``z`` or ``e^eps z``
+    and a free set of one to three entries strictly inside; the raw entries
+    of clipped rows sit on, a hair past, or well past the bound they clip
+    to, so breakpoints cluster around the crossing.  Returns ``(raw,
+    multipliers)`` where ``multipliers`` is the exact per-column shift.
+    """
+    lo, hi = z, np.exp(epsilon) * z
+    gap = hi - lo
+    live = np.flatnonzero(z > 0)
+    raw = np.empty((z.size, num_cols))
+    multipliers = generator.uniform(-0.05, 0.05, size=num_cols)
+    for column in range(num_cols):
+        for _ in range(1000):
+            order = generator.permutation(live)
+            free = order[: generator.integers(1, min(3, live.size) + 1)]
+            capacity = gap[free].sum()
+            remainder = 1.0 - lo.sum()
+            upper = []
+            for row in order[free.size :]:
+                if remainder - gap[row] > 0.5 * capacity:
+                    upper.append(row)
+                    remainder -= gap[row]
+            fraction = remainder / capacity
+            if 0.05 < fraction < 0.95:
+                break
+        else:
+            raise AssertionError("no clustered column fits these bounds")
+        projected = lo.copy()
+        projected[upper] = hi[upper]
+        projected[free] = lo[free] + fraction * gap[free]
+        # Past the bound by nothing, by a few ulps, or by a real margin.
+        past = (
+            generator.choice([0.0, 1e-15, 1.0], size=z.size)
+            * generator.uniform(0.0, 1.0, size=z.size)
+            * (gap + z)
+        )
+        shifted = np.where(projected <= lo, projected - past, projected + past)
+        shifted[free] = projected[free]
+        raw[:, column] = shifted - multipliers[column]
+    return raw, multipliers
+
+
+class TestNewtonOptimizerRegime:
+    """Newton against the sort sweep where the optimizer lives: clipped-heavy
+    columns, small free sets, warm starts, wide batches and ``z = 0`` rows."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=24),
+        st.integers(min_value=1, max_value=8),
+        st.floats(min_value=0.5, max_value=3.0),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    def test_matches_sort_on_clustered_breakpoints(
+        self, domain, batch, epsilon, seed
+    ):
+        generator = np.random.default_rng(seed)
+        rows = 4 * domain
+        z = generator.uniform(0.5, 1.5, size=rows)
+        z[generator.choice(rows, rows // 4, replace=False)] = 0.0
+        z *= generator.uniform(1.1 * np.exp(-epsilon), 0.9) / z.sum()
+        raws, exact = zip(
+            *(_clustered_columns(generator, z, epsilon, domain) for _ in range(batch))
+        )
+        # Warm starts from a hair to a few segments away from the answer.
+        scale = 10.0 ** generator.uniform(-10.0, -3.0)
+        warm = exact[0] + generator.normal(scale=scale, size=domain)
+        if batch == 1:
+            states = [project_columns(raws[0], z, epsilon, initial_multipliers=warm)]
+        else:
+            states = project_columns_batch(
+                list(raws), z, epsilon, initial_multipliers=warm
+            )
+        for raw, multipliers, state in zip(raws, exact, states):
+            sort = project_columns(raw, z, epsilon, method="sort")
+            assert np.allclose(state.multipliers, sort.multipliers, rtol=0, atol=1e-12)
+            assert np.allclose(state.multipliers, multipliers, rtol=0, atol=1e-12)
+            assert np.array_equal(state.lower, sort.lower)
+            assert np.array_equal(state.upper, sort.upper)
+            assert np.abs(state.matrix.sum(axis=0) - 1.0).max() <= 1e-12
+            assert state.matrix.flags.c_contiguous
+            assert np.all(state.matrix[z == 0] == 0.0)
+
+    def test_every_batch_width_up_to_eight_n(self):
+        generator = np.random.default_rng(15)
+        domain, epsilon = 6, 1.0
+        z = initial_bounds(4 * domain, epsilon)
+        z[:3] = 0.0
+        z *= 0.6 / z.sum()
+        raw, _ = _clustered_columns(generator, z, epsilon, 8 * domain)
+        sort = project_columns(raw, z, epsilon, method="sort")
+        for width in range(1, 8 * domain + 1):
+            state = project_columns(raw[:, :width], z, epsilon)
+            assert np.allclose(
+                state.multipliers, sort.multipliers[:width], rtol=0, atol=1e-12
+            )
+            assert np.array_equal(state.lower, sort.lower[:, :width])
+            assert np.array_equal(state.upper, sort.upper[:, :width])
+            assert state.matrix.flags.c_contiguous
+
+
 class TestProjectColumnsBatch:
     def test_batch_matches_single_calls(self):
         generator = np.random.default_rng(11)
